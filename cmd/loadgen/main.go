@@ -1,6 +1,6 @@
 // Command loadgen drives a running harassd with concurrent scoring
 // clients and reports throughput and latency percentiles as JSON — the
-// load half of scripts/bench_serve.sh.
+// load half of scripts/chaos_serve.sh and scripts/chaos_swap.sh.
 //
 // Each client loops for -duration POSTing single-document score
 // requests (and, every -batch-every requests when set, a JSONL batch of

@@ -248,8 +248,8 @@ func TestScoreObsAllocFree(t *testing.T) {
 }
 
 // BenchmarkScoreBatchMetrics keeps the instrumented end-to-end stream
-// in the benchmark smoke run; cmd/benchscore measures the same shape
-// against the uninstrumented stream to record the overhead ratio.
+// in the benchmark smoke run; perfbench's obs.overhead_ratio measures
+// the same shape against the uninstrumented stream.
 func BenchmarkScoreBatchMetrics(b *testing.B) {
 	det := testDetector(b)
 	docs := goldenStreamDocs()

@@ -7,25 +7,28 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/testutil"
 )
 
 // openArms runs f once per reader implementation: the default (mmap
 // where the platform has one) and the forced ReadAt fallback. Every
 // read-path property must hold identically on both.
-func openArms(t *testing.T, f func(t *testing.T, opt OpenOptions)) {
+func openArms(t *testing.T, f func(t *testing.T, noMmap bool)) {
 	t.Helper()
 	for _, arm := range []struct {
-		name string
-		opt  OpenOptions
+		name   string
+		noMmap bool
 	}{
-		{"default", OpenOptions{}},
-		{"nommap", OpenOptions{NoMmap: true}},
+		{"default", false},
+		{"nommap", true},
 	} {
-		t.Run(arm.name, func(t *testing.T) { f(t, arm.opt) })
+		t.Run(arm.name, func(t *testing.T) { f(t, arm.noMmap) })
 	}
 }
 
@@ -61,8 +64,8 @@ func TestScanParallelMatchesScan(t *testing.T) {
 		return out
 	}
 
-	openArms(t, func(t *testing.T, opt OpenOptions) {
-		r, err := OpenWith(dir, opt)
+	openArms(t, func(t *testing.T, noMmap bool) {
+		r, err := open(dir, noMmap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,6 +94,56 @@ func TestScanParallelMatchesScan(t *testing.T) {
 			docsEqual(t, wd, gd)
 		}
 	})
+}
+
+// TestScanParallelSpeedup is the fan-out gate: ScanParallel at
+// GOMAXPROCS workers must reach at least 2x the sequential Scan of the
+// same store in the same run. Below 4 cores the fan-out has too little
+// to run on, so the gate skips rather than fail on hardware.
+func TestScanParallelSpeedup(t *testing.T) {
+	const minSpeedup, minProcs = 2.0, 4
+	workers := runtime.GOMAXPROCS(0)
+	if workers < minProcs {
+		t.Skipf("GOMAXPROCS=%d: the parallel-scan gate needs >= %d cores", workers, minProcs)
+	}
+	if testutil.RaceEnabled {
+		t.Skip("timings differ under the race detector")
+	}
+	const segs, perSeg = 32, 2000
+	s := buildStore(t, t.TempDir())
+	defer s.Close()
+	// Texts of ~500 bytes, near a real post, so decode work dominates
+	// the per-document merge.
+	docs := testDocs(segs*perSeg, "ps-")
+	for i := range docs {
+		docs[i].Text = strings.Repeat(docs[i].Text+" ", 10)
+	}
+	if err := s.AppendAll(docs, perSeg); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(scan func(func(*corpus.Document, DocRef) error) error) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if err := scan(func(*corpus.Document, DocRef) error { n++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+				if n != segs*perSeg {
+					b.Fatalf("scan delivered %d docs, want %d", n, segs*perSeg)
+				}
+			}
+		})
+	}
+	seq := scan(s.Scan)
+	par := scan(func(fn func(*corpus.Document, DocRef) error) error { return s.ScanParallel(workers, fn) })
+	if seq.N == 0 || par.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	speedup := float64(seq.NsPerOp()) / float64(par.NsPerOp())
+	t.Logf("scan %d docs: sequential %d ns/op, %d workers %d ns/op, %.2fx", segs*perSeg, seq.NsPerOp(), workers, par.NsPerOp(), speedup)
+	if speedup < minSpeedup {
+		t.Errorf("ScanParallel is %.2fx the sequential Scan at %d workers, want >= %.1fx", speedup, workers, minSpeedup)
+	}
 }
 
 // TestScanParallelCorruptSegmentIsolated: a corrupt segment fails its
@@ -176,7 +229,7 @@ func TestScanParallelFnErrorStopsEarly(t *testing.T) {
 // never a decode input and never a spurious "trailing bytes" corrupt
 // error.
 func TestScanIgnoresUncommittedTail(t *testing.T) {
-	openArms(t, func(t *testing.T, opt OpenOptions) {
+	openArms(t, func(t *testing.T, noMmap bool) {
 		dir := t.TempDir()
 		docs := testDocs(9, "tail-")
 		s0, err := Create(dir)
@@ -188,7 +241,7 @@ func TestScanIgnoresUncommittedTail(t *testing.T) {
 		}
 		s0.Close()
 
-		s, err := OpenWith(dir, opt)
+		s, err := open(dir, noMmap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +365,8 @@ func TestDocConcurrentWithClose(t *testing.T) {
 	}
 	s0.Close()
 
-	openArms(t, func(t *testing.T, opt OpenOptions) {
-		s, err := OpenWith(dir, opt)
+	openArms(t, func(t *testing.T, noMmap bool) {
+		s, err := open(dir, noMmap)
 		if err != nil {
 			t.Fatal(err)
 		}

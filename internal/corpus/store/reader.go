@@ -15,9 +15,8 @@ import (
 // Two implementations sit behind segReader: a read-only mmap of the
 // committed extent (mmap_unix.go; slice is zero-copy into the mapping)
 // and a portable ReadAt fallback (platforms without mmap, files mmap
-// refuses, and the OpenOptions.NoMmap escape hatch tests and the
-// mmap-vs-buffered benchmark use). Store code never knows which one it
-// got.
+// refuses, and the tests' noMmap control arm). Store code never knows
+// which one it got.
 
 // ErrClosed is returned by reads and appends after Store.Close.
 var ErrClosed = errors.New("store: closed")

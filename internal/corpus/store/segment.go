@@ -274,6 +274,10 @@ func decodeDoc(payload []byte) (corpus.Document, error) {
 	d.Text = dd.str()
 
 	flags := dd.byte()
+	if flags&^(tfCTH|tfDox|tfHardNegative) != 0 && dd.err == nil {
+		// Unknown bits would decode to nothing and re-encode as zero.
+		dd.err = fmt.Errorf("store: unknown truth flags %#x at offset %d", flags, dd.pos-1)
+	}
 	d.Truth.IsCTH = flags&tfCTH != 0
 	d.Truth.IsDox = flags&tfDox != 0
 	d.Truth.HardNegative = flags&tfHardNegative != 0

@@ -50,6 +50,7 @@ import (
 	"sync"
 
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/durable"
 )
 
 const (
@@ -143,14 +144,6 @@ type Store struct {
 	closed  bool
 }
 
-// OpenOptions tunes how a store is opened.
-type OpenOptions struct {
-	// NoMmap forces the portable ReadAt segment readers even where
-	// mmap is available — the escape hatch for odd filesystems and the
-	// control arm of the mmap-vs-buffered benchmarks.
-	NoMmap bool
-}
-
 // Create initializes an empty store in dir (created if missing). It
 // fails if dir already holds a store.
 func Create(dir string) (*Store, error) {
@@ -170,16 +163,17 @@ func Create(dir string) (*Store, error) {
 // Open loads the store in dir, verifying committed segments and
 // quarantining any torn uncommitted ones (see RecoveryReport).
 func Open(dir string) (*Store, error) {
-	return OpenWith(dir, OpenOptions{})
+	return open(dir, false)
 }
 
-// OpenWith is Open with options.
-func OpenWith(dir string, opt OpenOptions) (*Store, error) {
+// open is Open with noMmap forcing the portable ReadAt segment readers
+// even where mmap is available (the tests' control arm).
+func open(dir string, noMmap bool) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, noMmap: opt.NoMmap}
+	s := &Store{dir: dir, noMmap: noMmap}
 	if err := json.Unmarshal(data, &s.man); err != nil {
 		return nil, fmt.Errorf("store: %s: manifest: %w", dir, err)
 	}
@@ -471,10 +465,10 @@ func (s *Store) Append(docs []corpus.Document) (SegmentInfo, error) {
 	}
 	idx := ib.encode()
 
-	if err := writeFileSync(filepath.Join(s.dir, name+segSuffix), seg); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+segSuffix), seg); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(s.dir, name+idxSuffix), idx); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+idxSuffix), idx); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
 
@@ -534,49 +528,16 @@ func WriteCorpora(s *Store, corpora map[corpus.Dataset]*corpus.Corpus, blogs *co
 	return nil
 }
 
-// commitManifest atomically replaces the manifest with man. A failed
-// rename removes the temp file so no half-commit residue survives.
+// commitManifest atomically replaces the manifest with man.
 func (s *Store) commitManifest(man manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	data = append(data, '\n')
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := durable.Replace(filepath.Join(s.dir, manifestName), append(data, '\n')); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort; Open also sweeps stale tmps
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	syncDir(s.dir)
 	return nil
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir best-effort fsyncs a directory so renames are durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory on platforms without dir fsync
-		d.Close()
-	}
 }
 
 // scanSegment decodes committed segment segIdx in record order,

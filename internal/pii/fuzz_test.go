@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
+
+	"harassrepro/internal/testutil"
 )
 
 // TestExtractNeverPanicsOnRandomInput drives the extractors with
@@ -158,19 +160,22 @@ func FuzzExtractPrefilterEquivalence(f *testing.F) {
 	})
 }
 
+// denseDox is a document in which every PII family matches: the
+// worst case for the one-pass engine, which must confirm each family.
+const denseDox = "John lives at 123 Maple Street, Fairview, OH, 44120, call (212) 555-0142, fb: john.t.99, email j@example.org, card 4111 1111 1111 1111, ssn 219-09-9999"
+
 // TestSessionExtractZeroAllocsDenseDox is the allocation gate for the
 // one-pass engine on the dense-dox workload: after warmup, the pooled
 // session path (the scorer hot path) must not allocate even when every
 // family matches. The clean-path gate is TestExtractCleanPathZeroAllocs.
 func TestSessionExtractZeroAllocsDenseDox(t *testing.T) {
-	const dense = "John lives at 123 Maple Street, Fairview, OH, 44120, call (212) 555-0142, fb: john.t.99, email j@example.org, card 4111 1111 1111 1111, ssn 219-09-9999"
 	s := NewSession()
-	spans := s.Extract(dense) // warm arena, DFA cache, scratch
+	spans := s.Extract(denseDox) // warm arena, DFA cache, scratch
 	if len(spans) == 0 {
 		t.Fatal("dense dox produced no spans")
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if len(s.Extract(dense)) == 0 {
+		if len(s.Extract(denseDox)) == 0 {
 			t.Fatal("dense dox produced no spans")
 		}
 	}); avg != 0 {
@@ -178,11 +183,51 @@ func TestSessionExtractZeroAllocsDenseDox(t *testing.T) {
 	}
 	var dst [16]Type
 	if avg := testing.AllocsPerRun(100, func() {
-		if len(s.AppendTypes(dst[:0], dense)) == 0 {
+		if len(s.AppendTypes(dst[:0], denseDox)) == 0 {
 			t.Fatal("dense dox produced no types")
 		}
 	}); avg != 0 {
 		t.Errorf("Session.AppendTypes allocs/run = %v, want 0", avg)
+	}
+}
+
+// TestSessionExtractBeatsRegexOracle is the engine's performance gate,
+// measured against its own oracle in the same run so it holds on any
+// machine: on the dense dox the pooled session path must be at least
+// 3x faster than extractDirect (the regex cascade it replaced) and
+// allocation-free.
+func TestSessionExtractBeatsRegexOracle(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("timings and allocation counts differ under the race detector")
+	}
+	const minSpeedup = 3.0
+	s := NewSession()
+	s.Extract(denseDox) // warm arena, DFA cache, scratch
+	engine := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(s.Extract(denseDox)) == 0 {
+				b.Fatal("dense dox produced no spans")
+			}
+		}
+	})
+	oracle := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(extractDirect(denseDox)) == 0 {
+				b.Fatal("dense dox produced no matches")
+			}
+		}
+	})
+	if engine.N == 0 || oracle.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	speedup := float64(oracle.NsPerOp()) / float64(engine.NsPerOp())
+	t.Logf("dense dox: engine %d ns/op, %d allocs/op; regex oracle %d ns/op; %.1fx",
+		engine.NsPerOp(), engine.AllocsPerOp(), oracle.NsPerOp(), speedup)
+	if speedup < minSpeedup {
+		t.Errorf("Session.Extract is %.1fx the regex oracle on the dense dox, want >= %.1fx", speedup, minSpeedup)
+	}
+	if a := engine.AllocsPerOp(); a != 0 {
+		t.Errorf("Session.Extract allocs/op = %d, want 0", a)
 	}
 }
 

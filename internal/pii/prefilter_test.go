@@ -144,14 +144,13 @@ func TestExtractDenseAllocBudget(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	e := NewExtractor()
-	dense := "John lives at 123 Maple Street, Fairview, OH, 44120, call (212) 555-0142, fb: john.t.99, email j@example.org, card 4111 1111 1111 1111, ssn 219-09-9999"
-	if got := e.Extract(dense); len(got) < 6 {
+	if got := e.Extract(denseDox); len(got) < 6 {
 		t.Fatalf("dense dox produced only %d matches: %v", len(got), got)
 	}
 	// Measured at 40 allocs/op; 64 leaves headroom for regexp-internal
 	// variation without masking a real regression.
 	if n := testing.AllocsPerRun(50, func() {
-		e.Extract(dense)
+		e.Extract(denseDox)
 	}); n > 64 {
 		t.Errorf("Extract on dense dox allocates %v per op, budget 64", n)
 	}

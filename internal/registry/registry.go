@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"harassrepro/internal/core"
+	"harassrepro/internal/durable"
 )
 
 // Registry is an on-disk versioned model store. All methods are safe
@@ -172,7 +173,9 @@ func (r *Registry) quarantine(name string) error {
 	if err := os.Rename(filepath.Join(r.dir, name), dst); err != nil {
 		return fmt.Errorf("registry: quarantine: %w", err)
 	}
-	syncDir(r.dir)
+	if err := durable.SyncDir(r.dir); err != nil {
+		return fmt.Errorf("registry: quarantine: %w", err)
+	}
 	return nil
 }
 
@@ -202,13 +205,15 @@ func (r *Registry) Commit(info Entry, save func(dir string) error) (uint64, erro
 	if err := save(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
 	}
-	if err := fsyncTree(gdir); err != nil {
+	if err := durable.SyncTree(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
 	}
 	if _, err := core.LoadDetector(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: saved model does not validate: %w", gen, err))
 	}
-	syncDir(r.dir)
+	if err := durable.SyncDir(r.dir); err != nil {
+		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
+	}
 
 	info.Generation = gen
 	r.man.Counter = gen
@@ -333,63 +338,8 @@ func (r *Registry) commitManifest() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(r.dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := durable.Replace(filepath.Join(r.dir, manifestName), data); err != nil {
 		return fmt.Errorf("registry: manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, manifestName)); err != nil {
-		return fmt.Errorf("registry: manifest: %w", err)
-	}
-	syncDir(r.dir)
-	return nil
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir best-effort fsyncs a directory so renames are durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory on platforms without dir fsync
-		d.Close()
-	}
-}
-
-// fsyncTree fsyncs every regular file under dir plus dir itself, so a
-// generation's contents are durable before the manifest names them.
-func fsyncTree(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, de := range ents {
-		if de.IsDir() {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, de.Name()))
-		if err != nil {
-			return err
-		}
-		serr := f.Sync()
-		f.Close()
-		if serr != nil {
-			return serr
-		}
-	}
-	syncDir(dir)
 	return nil
 }

@@ -176,6 +176,38 @@ func TestRegistryCommitRejectsBrokenSave(t *testing.T) {
 	}
 }
 
+// TestCommitManifestCleansTmpOnRenameFailure: a commit whose manifest
+// rename fails must not orphan MANIFEST.json.tmp, and must leave the
+// in-memory state at the last committed manifest.
+func TestCommitManifestCleansTmpOnRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory in the manifest's place fails rename(2) on
+	// every platform.
+	mpath := filepath.Join(dir, manifestName)
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(mpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mpath, "occupied"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Commit(Entry{Seed: 1}, tinySaver(t, 1)); err == nil {
+		t.Fatal("commit succeeded over an un-renameable manifest")
+	}
+	if _, err := os.Stat(mpath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("manifest tmp left behind after failed rename: stat = %v", err)
+	}
+	if n := len(r.Entries()); n != 0 {
+		t.Fatalf("failed commit left %d entries in memory", n)
+	}
+}
+
 func TestRegistryCrashMidPromoteRecovers(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Create(dir)

@@ -10,6 +10,8 @@
 #   - the chaos actually bit (shard generations restarted);
 #   - the self-healing layer re-homed in-flight documents (redispatch
 #     counters are visible in the scraped summary);
+#   - liveness stays green and the live binary exports its request
+#     and per-shard queue metrics on /metrics;
 #   - SIGTERM still drains cleanly to exit 0 afterwards.
 #
 # Usage: scripts/chaos_serve.sh [-clients N] [-duration D]
@@ -80,6 +82,16 @@ if [[ "$restarts" -eq 0 ]]; then
 fi
 echo "   certified: $ok scored, 0 lost, $restarts shard restarts," \
      "$redisp docs re-homed, $redisp_failed answered terminal 503"
+
+echo "== liveness + metrics exposition after the chaos load"
+# Capture each response before grepping: `curl | grep -q` races grep's
+# early exit against curl's final write (curl exit 23 under pipefail).
+body=$(curl -sf "http://$addr/healthz")
+grep -q ok <<<"$body" || { echo "/healthz not ok after chaos: $body" >&2; exit 1; }
+body=$(curl -sf "http://$addr/metrics")
+for metric in serve_requests_total serve_shard_queue_depth; do
+  grep -q "$metric" <<<"$body" || { echo "/metrics missing $metric" >&2; exit 1; }
+done
 
 echo "== graceful shutdown under chaos residue (SIGTERM)"
 kill -TERM "$pid"

@@ -17,6 +17,13 @@
 #      least one transition mid-flight, and still drain cleanly on
 #      SIGTERM.
 #
+#   3. Shadow-scoring cost, on the same fleet after the storm: two
+#      5 s, 64-client loadgen phases, first with shadowing cleared,
+#      then with generation 1 shadowing generation 2 at rate 0.25.
+#      Shadow throughput must stay >= 90% of the no-shadow phase
+#      measured in the same run (shadow scoring may cost at most 10%
+#      rps).
+#
 # Usage: scripts/chaos_swap.sh [-clients N] [-requests N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,6 +130,30 @@ grep -q '^ *1,\?$' <<<"$genlist" && grep -q '^ *2,\?$' <<<"$genlist" || {
 
 echo "   certified: $reqs requests, $ok scored, 0 lost, served by gens 1+2, $transitions transitions"
 
+shadow_rate=0.25
+gate_clients=64
+gate_duration=5s
+rps() { sed -n 's/.*"throughput_rps": \([0-9.]*\).*/\1/p' "$1"; }
+
+echo "== shadow-cost gate: no-shadow load ($gate_clients clients, $gate_duration, generation 2 active)"
+curl -sf -X POST "http://$addr/v1/admin/swap" -d '{"generation":2}' >/dev/null
+"$workdir/loadgen" -addr "$addr" -clients "$gate_clients" -duration "$gate_duration" \
+  -fail-on-errors -out "$workdir/noshadow.json"
+
+echo "== shadow-cost gate: shadow load (generation 1 shadowing at rate $shadow_rate)"
+curl -sf -X POST "http://$addr/v1/admin/shadow" \
+  -d "{\"generation\":1,\"rate\":$shadow_rate}" >/dev/null
+"$workdir/loadgen" -addr "$addr" -clients "$gate_clients" -duration "$gate_duration" \
+  -fail-on-errors -out "$workdir/shadow.json"
+
+noshadow_rps=$(rps "$workdir/noshadow.json")
+shadow_rps=$(rps "$workdir/shadow.json")
+echo "   shadow $shadow_rps rps vs no-shadow $noshadow_rps rps"
+awk -v s="$shadow_rps" -v n="$noshadow_rps" 'BEGIN { exit !(s >= 0.90 * n) }' || {
+  echo "GATE FAILED: shadow throughput $shadow_rps rps < 90% of no-shadow $noshadow_rps rps (overhead > 10%)" >&2
+  exit 1
+}
+
 echo "== graceful shutdown after the storm (SIGTERM)"
 kill -TERM "$pid"
 rc=0
@@ -135,4 +166,4 @@ if [[ $rc -ne 0 ]]; then
 fi
 grep -q "drained cleanly" "$log" || { cat "$log" >&2; echo "missing clean-drain log line" >&2; exit 1; }
 
-echo "OK — hot-swap certified: no request lost, no torn read, clean drain"
+echo "OK — hot-swap certified: no request lost, no torn read, shadow cost within 10%, clean drain"

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Repository verification: build, vet, full test suite, and the
-# concurrent runtime's tests under the race detector.
+# concurrent runtime's tests under the race detector. The benchmark in
+# perfbench/ is a separate module, so it is vetted (and, in the full
+# run, tested) on its own.
 #
 # Usage: scripts/check.sh [-fast]
-#   -fast  skip the full (slow) test suite; build + vet + race only
+#   -fast  skip the full (slow) test suites; build + vet + race only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +18,20 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== (cd perfbench && go vet ./...)"
+(cd perfbench && go vet ./...)
+
 if [[ $fast -eq 0 ]]; then
+  # The root suite includes the same-run performance gates: the PII
+  # engine >= 3x its regex oracle at 0 allocs/op
+  # (TestSessionExtractBeatsRegexOracle), store-fed scoring >= 0.9x
+  # in-memory (TestStoreFedScoringFloor), and ScanParallel >= 2x the
+  # sequential scan on >= 4 cores (TestScanParallelSpeedup).
   echo "== go test ./..."
   go test ./...
+
+  echo "== (cd perfbench && go test ./...)"
+  (cd perfbench && go test ./...)
 fi
 
 # The concurrent runtime (worker pool, chaos harness, streaming
@@ -68,41 +81,16 @@ if [[ $fast -eq 0 ]]; then
   echo "== registry manifest fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzRegistryManifest$' -fuzztime 10s ./internal/registry/
 
-  # PII perf gate: pii/dense-dox must hold at least 3x over the
-  # regex-cascade figure it replaced (58581.56 ns/op) and stay
-  # allocation-free; catches engine performance regressions without
-  # training the full pipeline.
-  echo "== pii perf gate (benchscore -pii-only -gate-pii)"
-  go run ./cmd/benchscore -pii-only -gate-pii
-fi
-
-if [[ $fast -eq 0 ]]; then
   # Benchmark smoke: every benchmark must still run (one iteration, no
   # timing claims) so bench rot is caught here, not at release time.
   echo "== benchmark smoke (-benchtime=1x)"
   go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 
-  # Pipeline timing: quick-scale `-experiment all` with derived
-  # artifacts recomputed per caller (pre-graph monolith shape) vs the
-  # memoized artifact graph; wall times and per-stage cache-hit counts
-  # land in BENCH_pipeline.json.
-  echo "== pipeline benchmark (BENCH_pipeline.json)"
-  scripts/bench_pipeline.sh
-
-  # Serving smoke + benchmark: harassd on an ephemeral port, endpoint
-  # curls, concurrent load in healthy / faulted (1 of 4 shards
-  # continuously failing) / hot-swap / shadow-scoring phases, and
-  # SIGTERMs that must drain to exit 0; all four phases' throughput and
-  # latency percentiles land in BENCH_serve.json, and -gate enforces
-  # the lifecycle costs: healthy steady-state within 5% of the
-  # pre-lifecycle baseline, shadow-scoring overhead at most 10% rps.
-  echo "== serving benchmark + lifecycle gates (BENCH_serve.json)"
-  scripts/bench_serve.sh -gate
-
   # Chaos certification against a live harassd: a deterministic seeded
   # fault plan (shard panics, stalls, latency spikes) must lose zero
-  # admitted requests, restart the faulted shard, and still drain
-  # cleanly on SIGTERM.
+  # admitted requests, restart the faulted shard, keep /healthz green
+  # and export its request and per-shard queue metrics, and still
+  # drain cleanly on SIGTERM.
   echo "== chaos-serve certification"
   scripts/chaos_serve.sh
 
@@ -111,18 +99,10 @@ if [[ $fast -eq 0 ]]; then
   # model generation — golden equality against both pure-generation
   # runs), then a live harassd -registry swap storm under a fixed
   # 320-request load that must lose nothing, be served by both
-  # generations, and drain cleanly.
-  echo "== hot-swap chaos certification"
+  # generations, and drain cleanly; on the same fleet, shadow scoring
+  # must keep >= 90% of the no-shadow throughput.
+  echo "== hot-swap chaos certification + shadow-cost gate"
   scripts/chaos_swap.sh
-
-  # Corpus-store benchmark + gates: scan/lookup/append throughput lands
-  # in BENCH_store.json; ScoreStream fed from a store Scan must retain
-  # >= 0.9x the throughput of the same documents already in memory (the
-  # store may cost at most 10% on the hot path), and ScanParallel must
-  # reach >= 2x the sequential scan on machines with >= 4 cores (the
-  # parallel gate skips loudly on smaller machines).
-  echo "== store benchmark + stream/parallel gates (BENCH_store.json)"
-  scripts/bench_store.sh -gate
 fi
 
 echo "OK"
