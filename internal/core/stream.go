@@ -61,7 +61,7 @@ type StreamOptions struct {
 	StageWrap func(resilience.Stage[StreamDoc]) resilience.Stage[StreamDoc]
 	// Metrics, if set, receives the runner's per-stage counters and
 	// latency histograms plus the scoring instruments (scratch-pool
-	// traffic, sampled phase timings, PII prefilter counters). Scores
+	// traffic, sampled phase timings, PII and taxonomy gate counters). Scores
 	// are bit-identical with or without it.
 	Metrics *obs.Registry
 	// Trace, if set, records per-stage timings for a seeded-deterministic
@@ -89,11 +89,13 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 	// With a registry the stages route through the instrumented paths;
 	// both consume randomness identically, so scores do not change.
 	var sm *scoreMetrics
-	ext := streamExtractor
+	ext, cat := streamExtractor, streamCategorizer
 	if opts.Metrics != nil {
 		sm = newScoreMetrics(opts.Metrics, opts.Seed)
 		ext = pii.NewExtractor()
 		ext.SetMetrics(opts.Metrics)
+		cat = taxonomy.NewCategorizer()
+		cat.SetMetrics(opts.Metrics)
 	}
 	stages := []resilience.Stage[StreamDoc]{
 		{
@@ -151,7 +153,7 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 				Degradable: true,
 				Fn: func(_ context.Context, _ int, sd *StreamDoc) error {
 					var subs []string
-					for _, s := range streamCategorizer.Categorize(sd.Text).Subs() {
+					for _, s := range cat.Categorize(sd.Text).Subs() {
 						subs = append(subs, string(s))
 					}
 					sd.Attacks = subs

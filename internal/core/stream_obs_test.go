@@ -120,6 +120,7 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 			{"pool gets", cv("score_pool_gets_total"), 2 * n, nil},
 			{"phase sampled", cv("score_phase_sampled_total"), 2 * sampledDocs, nil},
 			{"pii scanned", cv("pii_docs_scanned_total"), n, nil},
+			{"taxonomy scanned", cv("taxonomy_docs_scanned_total"), n, nil},
 		}
 		for _, c := range checks {
 			if uint64(c.got) != c.want {
@@ -162,6 +163,8 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 			"pipeline_stage_attempts_total", "pipeline_stage_retries_total",
 			"pipeline_stage_failures_total", "score_phase_sampled_total",
 			"pii_docs_scanned_total", "pii_docs_clean_total",
+			"taxonomy_docs_scanned_total", "taxonomy_docs_clean_total",
+			"taxonomy_rule_admitted_total", "taxonomy_rule_matches_total",
 		} {
 			for _, m := range baseSnap.Metrics {
 				if m.Name != name {

@@ -54,13 +54,11 @@ type TrackRef struct {
 // admitted. capS/capE are -1 when the pattern has no capture group.
 type VerifyFunc func(text string, start, end, capS, capE int32, arena []byte) ([]byte, int32, int32, bool)
 
-// TypeSpec is one PII family's gate: every Groups mask must intersect
-// the document's literal mask, and the digit count must reach
-// MinDigits.
+// TypeSpec is one PII family: its name and the gate a document must
+// pass before the family's patterns run.
 type TypeSpec struct {
-	Name      string
-	Groups    []uint64
-	MinDigits int
+	Name string
+	Gate
 }
 
 // PatternSpec is one compiled pattern within a family.
@@ -199,7 +197,7 @@ func (s *Session) Extract(text string) []Span {
 		s.resume[i] = 0
 	}
 	for ti := range s.e.spec.Types {
-		if !s.admits(ti) {
+		if !s.e.spec.Types[ti].Admits(&s.facts) {
 			continue
 		}
 		s.Stats.Admitted |= 1 << uint(ti)
@@ -208,19 +206,6 @@ func (s *Session) Extract(text string) []Span {
 		}
 	}
 	return s.finalize()
-}
-
-func (s *Session) admits(ti int) bool {
-	t := &s.e.spec.Types[ti]
-	if s.facts.Digits < t.MinDigits {
-		return false
-	}
-	for _, g := range t.Groups {
-		if s.facts.LitMask&g == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Session) runPattern(text string, pi int) {

@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 	"unicode"
 
+	"harassrepro/internal/pii/engine"
 	"harassrepro/internal/testutil"
 )
 
@@ -83,6 +84,13 @@ func TestScannerFoldExceptionsComplete(t *testing.T) {
 	}
 }
 
+// scan runs the engine's literal prefilter over text.
+func scan(text string) *engine.Facts {
+	f := &engine.Facts{}
+	eng.ScanFacts(text, f)
+	return f
+}
+
 // TestScanFacts pins the scanner's literal and digit accounting.
 func TestScanFacts(t *testing.T) {
 	cases := []struct {
@@ -103,14 +111,14 @@ func TestScanFacts(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := scan(c.text)
-		if c.wantLit != "" && f.lits&acMaskOf[c.wantLit] == 0 {
+		if c.wantLit != "" && !f.LitMask.Intersects(engine.Mask{acMaskOf[c.wantLit]}) {
 			t.Errorf("scan(%q): literal %q not seen", c.text, c.wantLit)
 		}
-		if c.absentLit != "" && f.lits&acMaskOf[c.absentLit] != 0 {
+		if c.absentLit != "" && f.LitMask.Intersects(engine.Mask{acMaskOf[c.absentLit]}) {
 			t.Errorf("scan(%q): literal %q wrongly seen", c.text, c.absentLit)
 		}
-		if f.digits != c.digits {
-			t.Errorf("scan(%q): digits = %d, want %d", c.text, f.digits, c.digits)
+		if f.Digits != c.digits {
+			t.Errorf("scan(%q): digits = %d, want %d", c.text, f.Digits, c.digits)
 		}
 	}
 }
@@ -183,7 +191,7 @@ func TestPlanGates(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := scan(c.text)
-		if got := f.admits(planByName[c.name]); got != c.admit {
+		if got := planByName[c.name].gate.Admits(f); got != c.admit {
 			t.Errorf("admits(%q, %s) = %v, want %v", c.text, c.name, got, c.admit)
 		}
 	}

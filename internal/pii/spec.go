@@ -82,7 +82,7 @@ func buildEngine() *engine.Engine {
 	}
 	types := make([]engine.TypeSpec, len(plans))
 	for i, p := range plans {
-		types[i] = engine.TypeSpec{Name: p.name, Groups: p.groups, MinDigits: p.minDigits}
+		types[i] = engine.TypeSpec{Name: p.name, Gate: p.gate}
 	}
 	return engine.New(engine.Spec{
 		Literals: lits,

@@ -1,21 +1,36 @@
 package taxonomy
 
 import (
+	"math/bits"
 	"regexp"
+	"sync"
+
+	"harassrepro/internal/pii/engine"
 )
 
 // Categorizer codes call-to-harassment text into taxonomy subcategories
 // with keyword/phrase rules. It plays the role of the paper's domain
 // expert coders for the automated reproduction: each subcategory has a
 // bank of cue patterns derived from the paper's category definitions and
-// published examples.
+// published examples. A Categorizer is safe for concurrent use.
 type Categorizer struct {
+	*ruleBank
+	m *categorizerMetrics
+}
+
+// ruleBank is the compiled cue bank, shared by every Categorizer: the
+// cue regexes, their literal gates, and one scanner over the gates'
+// literals.
+type ruleBank struct {
 	rules []rule
+	teddy *engine.Teddy
+	facts sync.Pool // *engine.Facts, per-goroutine scan state
 }
 
 type rule struct {
-	sub Sub
-	re  *regexp.Regexp
+	set  subSet // the rule's subcategory
+	re   *regexp.Regexp
+	gate engine.Gate
 }
 
 // cuePatterns defines the per-subcategory cue regular expressions. The
@@ -133,62 +148,135 @@ var cuePatterns = map[Sub][]string{
 	},
 }
 
-// NewCategorizer compiles the cue rules.
+// NewCategorizer returns a categorizer over the cue rules. The rules
+// and their gates are compiled once per process and shared.
 func NewCategorizer() *Categorizer {
-	c := &Categorizer{}
-	for _, s := range Subs() {
+	return &Categorizer{ruleBank: sharedBank()}
+}
+
+var sharedBank = sync.OnceValue(compileBank)
+
+// compileBank compiles every cue regex and derives its literal gate,
+// interning the gates' literals into one scanner.
+func compileBank() *ruleBank {
+	b := &ruleBank{facts: sync.Pool{New: func() any { return &engine.Facts{} }}}
+	bitOf := map[string]int{}
+	var lits []engine.TeddyLiteral
+	for _, s := range subList {
 		for _, pat := range cuePatterns[s] {
-			c.rules = append(c.rules, rule{sub: s, re: regexp.MustCompile(`(?i)` + pat)})
+			r := rule{set: setOf(s), re: regexp.MustCompile(`(?i)` + pat)}
+			for _, group := range ruleGate(pat) {
+				var bitsOf []int
+				for _, l := range group {
+					bit, ok := bitOf[l]
+					if !ok {
+						bit = len(lits)
+						bitOf[l] = bit
+						lits = append(lits, engine.TeddyLiteral{Text: l, GateBit: bit, TrackID: -1})
+					}
+					bitsOf = append(bitsOf, bit)
+				}
+				r.gate.Groups = append(r.gate.Groups, engine.MaskOf(bitsOf...))
+			}
+			b.rules = append(b.rules, r)
 		}
 	}
-	return c
+	b.teddy = engine.NewTeddy(lits)
+	return b
 }
+
+// subList is Subs() in Table 11 order; a subSet bit is an index into it.
+var subList = Subs()
+
+// subSet is a set of subcategories, bit i standing for subList[i].
+type subSet uint32
+
+// setOf returns the one-element set {s}.
+func setOf(s Sub) subSet {
+	for i, t := range subList {
+		if t == s {
+			return 1 << uint(i)
+		}
+	}
+	panic("taxonomy: unknown subcategory " + string(s))
+}
+
+// miscRule pairs a parent's misc. subcategory with its specific
+// siblings, any of which suppresses it.
+type miscRule struct{ misc, specific subSet }
+
+var (
+	miscRules = func() []miscRule {
+		var out []miscRule
+		for _, m := range []Sub{
+			SubContentLeakMisc, SubImpersonationMisc, SubLockoutMisc,
+			SubOverloadingMisc, SubPublicOpinionMisc, SubReportingMisc,
+			SubReputationMisc, SubSurveillanceMisc, SubToxicMisc,
+		} {
+			r := miscRule{misc: setOf(m)}
+			for _, s := range SubsOf(m.Parent()) {
+				if s != m {
+					r.specific |= setOf(s)
+				}
+			}
+			out = append(out, r)
+		}
+		return out
+	}()
+	genericSet = setOf(SubGeneric)
+)
 
 // Categorize codes text into a multi-label taxonomy Label. Generic and
 // misc. subcategories are treated as fallbacks within their parent: a
 // specific subcategory suppresses its parent's misc. label, and any
 // specific parent suppresses Generic, mirroring the coders' rule that
 // misc./generic apply only when no more specific category fits.
+//
+// One literal scan decides which rules' gates admit the document; only
+// those rules run their regex. The gates are necessary conditions, so
+// the label equals running every cue regex on the text.
 func (c *Categorizer) Categorize(text string) Label {
-	matched := map[Sub]bool{}
-	for _, r := range c.rules {
-		if matched[r.sub] {
+	f := c.facts.Get().(*engine.Facts)
+	c.teddy.Scan(text, f)
+	var matched, admitted subSet
+	for i := range c.rules {
+		r := &c.rules[i]
+		if matched&r.set != 0 || !r.gate.Admits(f) {
 			continue
 		}
+		admitted |= r.set
 		if r.re.MatchString(text) {
-			matched[r.sub] = true
+			matched |= r.set
 		}
 	}
-	// Specific subcategory suppresses its parent's misc label.
-	miscOf := map[Parent]Sub{
-		ContentLeakage: SubContentLeakMisc,
-		Impersonation:  SubImpersonationMisc,
-		Lockout:        SubLockoutMisc,
-		Overloading:    SubOverloadingMisc,
-		PublicOpinion:  SubPublicOpinionMisc,
-		Reporting:      SubReportingMisc,
-		Reputational:   SubReputationMisc,
-		Surveillance:   SubSurveillanceMisc,
-		ToxicContent:   SubToxicMisc,
+	c.facts.Put(f)
+	if c.m != nil {
+		c.m.record(admitted, matched)
 	}
-	for parent, misc := range miscOf {
-		if !matched[misc] {
-			continue
-		}
-		for _, s := range SubsOf(parent) {
-			if s != misc && matched[s] {
-				delete(matched, misc)
-				break
-			}
+	return suppress(matched).label()
+}
+
+// suppress applies the fallback rules to a set of matched subcategories.
+func suppress(s subSet) subSet {
+	for _, r := range miscRules {
+		if s&r.specific != 0 {
+			s &^= r.misc
 		}
 	}
-	// Any specific parent suppresses the Generic fallback.
-	if matched[SubGeneric] && len(matched) > 1 {
-		delete(matched, SubGeneric)
+	if s != genericSet && s&genericSet != 0 {
+		s &^= genericSet
 	}
-	subs := make([]Sub, 0, len(matched))
-	for s := range matched {
-		subs = append(subs, s)
+	return s
+}
+
+// label materialises s; the empty set allocates nothing.
+func (s subSet) label() Label {
+	if s == 0 {
+		return Label{}
 	}
-	return NewLabel(subs...)
+	m := make(map[Sub]bool, bits.OnesCount32(uint32(s)))
+	for ; s != 0; s &= s - 1 {
+		m[subList[bits.TrailingZeros32(uint32(s))]] = true
+	}
+	return Label{subs: m}
 }

@@ -24,7 +24,9 @@ echo "== (cd perfbench && go vet ./...)"
 if [[ $fast -eq 0 ]]; then
   # The root suite includes the same-run performance gates: the PII
   # engine >= 3x its regex oracle at 0 allocs/op
-  # (TestSessionExtractBeatsRegexOracle), store-fed scoring >= 0.9x
+  # (TestSessionExtractBeatsRegexOracle), the gated taxonomy
+  # categorizer >= 5x its all-regex oracle on bulk-mix documents
+  # (TestCategorizeBeatsRegexOracle), store-fed scoring >= 0.9x
   # in-memory (TestStoreFedScoringFloor), and ScanParallel >= 2x the
   # sequential scan on >= 4 cores (TestScanParallelSpeedup).
   echo "== go test ./..."
@@ -38,10 +40,12 @@ fi
 # scoring), the metrics core shared across its workers, the HTTP
 # serving layer coalescing requests onto that runtime, the corpus
 # store (concurrent segment reads under Scan/Lookup, crash-recovery
-# reopen), and the model lifecycle (registry commits racing opens,
-# hot-swaps racing traffic) must be race-clean, not just correct.
-echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
-go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
+# reopen), the model lifecycle (registry commits racing opens,
+# hot-swaps racing traffic), and the annotators (one Categorizer and
+# the PII extractors shared across goroutines over pooled scan state)
+# must be race-clean, not just correct.
+echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/... ./internal/taxonomy/ ./internal/pii/..."
+go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/... ./internal/taxonomy/ ./internal/pii/...
 
 # Parallel-scan race certification: scans at 16 workers racing a live
 # appender, and point reads racing Close, repeated under the race
@@ -52,11 +56,12 @@ go test -race -count=2 -run 'TestScanParallelWhileAppend|TestScanWhileAppend|Tes
 
 # Allocation-regression gates: the scoring hot path (tokenize,
 # featurize, PII clean path, pooled detector scoring) and the obs
-# metric handles it records into must stay allocation-free. These run
-# under the race detector above too, but the race detector changes the
+# metric handles it records into must stay allocation-free, and the
+# taxonomy categorizer may allocate only its result. These run under
+# the race detector above too, but the race detector changes the
 # allocator, so assert them in a plain run.
 echo "== alloc-regression tests"
-go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/core/ ./internal/obs/
+go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/core/ ./internal/obs/ ./internal/taxonomy/
 
 if [[ $fast -eq 0 ]]; then
   # Differential fuzz smoke: the one-pass PII engine must stay
@@ -65,6 +70,15 @@ if [[ $fast -eq 0 ]]; then
   # automaton soundness bugs before they need a long campaign.
   echo "== pii differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzExtractPrefilterEquivalence$' -fuzztime 10s ./internal/pii/
+
+  # Taxonomy gate differential fuzz smoke: the gated categorizer must
+  # return the all-regex oracle's label on every input (a divergence is
+  # a gate that is not a necessary condition for its cue regex), and
+  # the shared literal scanner must agree with a strings.Contains oracle
+  # on its folded view.
+  echo "== taxonomy gate and scanner fuzz smokes (-fuzztime=10s each)"
+  go test -run '^$' -fuzz '^FuzzCategorizeGateEquivalence$' -fuzztime 10s ./internal/taxonomy/
+  go test -run '^$' -fuzz '^FuzzTeddyScan$' -fuzztime 10s ./internal/pii/engine/
 
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
